@@ -10,13 +10,10 @@ from .cfmatrix import (
 from .errors import ShapeError, ValidationError
 from .fourier import CandidateSignal, SignalSample, dft, expand_sample, idft
 from .identify import (
-    CrossProduct,
-    CrossTerm,
     IdentificationResult,
     OptimumFuzzySet,
     ScoreVector,
     column_min,
-    cross_product,
     fourier_identify,
     maxmin_decision,
     sample_score,
@@ -30,8 +27,6 @@ __all__ = [
     "CandidateSignal",
     "ComplexFuzzyMatrix",
     "ComplexFuzzyNumber",
-    "CrossProduct",
-    "CrossTerm",
     "FuzzySoftSetTable",
     "IdentificationResult",
     "MagnitudeMatrix",
@@ -42,7 +37,6 @@ __all__ = [
     "SignalSample",
     "ValidationError",
     "column_min",
-    "cross_product",
     "dft",
     "expand_sample",
     "fourier_identify",

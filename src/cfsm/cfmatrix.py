@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
+from ._grid import _Grid, require_inner, require_same_shape
 from .errors import ShapeError
 
 TWO_PI = 2.0 * math.pi
@@ -23,7 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_phase(phase: float) -> float:
     """Reduce an angle to the interval [0, 2*pi)."""
-    p = math.fmod(phase, TWO_PI)
+    p = math.fmod(phase, TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
     if p < 0.0:
         p += TWO_PI
     if p >= TWO_PI:  # the addition above can land exactly on 2*pi
@@ -44,7 +45,7 @@ class ComplexFuzzyNumber:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        amp = float(self.amplitude)
+        amp = float(self.amplitude) + 0.0  # + 0.0 turns -0.0 into 0.0
         if not (math.isfinite(amp) and 0.0 <= amp <= 1.0):
             raise ValueError(f"amplitude must lie in [0, 1], got {self.amplitude!r}")
         ph = float(self.phase)
@@ -93,101 +94,60 @@ def _coerce(cell: Cell) -> ComplexFuzzyNumber:
     return ComplexFuzzyNumber(float(amplitude), float(phase))
 
 
-@dataclass(frozen=True)
-class ComplexFuzzyMatrix:
-    """A rectangular grid of ComplexFuzzyNumber entries, stored row-major."""
+def _real_maxmin(a: _Grid, b: _Grid) -> list[float]:
+    """Max-min composition of real grids, row-major: max_k min(a[i, k], b[k, j])."""
+    cols = [b.col(j) for j in range(b.cols)]
+    return [max(map(min, a.row(i), col)) for i in range(a.rows) for col in cols]
 
-    rows: int
-    cols: int
-    entries: tuple[ComplexFuzzyNumber, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        entries = tuple(self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
-        object.__setattr__(self, "entries", entries)
+class ComplexFuzzyMatrix(_Grid):
+    """A rectangular grid of ComplexFuzzyNumber entries, stored row-major.
 
-    @classmethod
-    def from_rows(cls, cells: Iterable[Iterable[Cell]]) -> "ComplexFuzzyMatrix":
-        """Build from nested rows of ComplexFuzzyNumber, (amplitude, phase)
-        pairs, or bare amplitudes (phase 0)."""
-        grid = [[_coerce(cell) for cell in row] for row in cells]
-        if not grid or not grid[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("matrix rows must all have the same length")
-        return cls(len(grid), width, tuple(c for row in grid for c in row))
+    Cells given as (amplitude, phase) pairs or bare amplitudes (phase 0)
+    are converted. Join and meet act componentwise, so every operation
+    below works on the amplitude and phase projections separately.
+    """
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    _cell = staticmethod(_coerce)
 
-    def at(self, i: int, j: int) -> ComplexFuzzyNumber:
-        return self.entries[i * self.cols + j]
+    def _part(self, component: str) -> _Grid:
+        values = tuple(getattr(e, component) for e in self.entries)
+        return _Grid(self.rows, self.cols, values)
 
     def amplitudes(self) -> list[list[float]]:
-        return [
-            [self.at(i, j).amplitude for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        return self._part("amplitude").to_lists()
 
     def phases(self) -> list[list[float]]:
-        return [
-            [self.at(i, j).phase for j in range(self.cols)] for i in range(self.rows)
-        ]
-
-    def _require_same_shape(self, other: "ComplexFuzzyMatrix", op: str) -> None:
-        if self.shape != other.shape:
-            raise ShapeError(
-                f"{op} needs equal shapes, got "
-                f"{self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
+        return self._part("phase").to_lists()
 
     def fuzzy_add(self, other: "ComplexFuzzyMatrix") -> "ComplexFuzzyMatrix":
         """Entrywise componentwise maximum."""
-        self._require_same_shape(other, "fuzzy addition")
+        require_same_shape(self, other, "fuzzy addition")
         return ComplexFuzzyMatrix(
-            self.rows,
-            self.cols,
-            tuple(fuzzy_max(x, y) for x, y in zip(self.entries, other.entries)),
+            self.rows, self.cols, tuple(map(fuzzy_max, self.entries, other.entries))
         )
 
     def maxmin(self, other: "ComplexFuzzyMatrix") -> "ComplexFuzzyMatrix":
         """Max-min composition: entry (i, j) is the componentwise maximum
-        over k of the componentwise minimum of self[i, k] and other[k, j]."""
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"max-min product needs inner dimensions to agree, got "
-                f"{self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = fuzzy_min(self.at(i, 0), other.at(0, j))
-                for k in range(1, self.cols):
-                    acc = fuzzy_max(acc, fuzzy_min(self.at(i, k), other.at(k, j)))
-                out.append(acc)
-        return ComplexFuzzyMatrix(self.rows, other.cols, tuple(out))
+        over k of the componentwise minimum of self[i, k] and other[k, j],
+        i.e. one real max-min composition per component."""
+        require_inner(self, other, "max-min product")
+        amplitudes = _real_maxmin(self._part("amplitude"), other._part("amplitude"))
+        phases = _real_maxmin(self._part("phase"), other._part("phase"))
+        return ComplexFuzzyMatrix(
+            self.rows, other.cols, tuple(map(ComplexFuzzyNumber, amplitudes, phases))
+        )
 
     def trace(self) -> ComplexFuzzyNumber:
         """Componentwise maximum over the diagonal of a square matrix."""
         if self.rows != self.cols:
             raise ShapeError(f"trace needs a square matrix, got {self.rows}x{self.cols}")
-        acc = self.at(0, 0)
-        for i in range(1, self.rows):
-            acc = fuzzy_max(acc, self.at(i, i))
-        return acc
+        diagonal = self.entries[:: self.cols + 1]
+        return ComplexFuzzyNumber(
+            max(e.amplitude for e in diagonal), max(e.phase for e in diagonal)
+        )
 
     def conjugate_transpose(self) -> "ComplexFuzzyMatrix":
         """Transpose with every entry conjugated."""
-        out = tuple(
-            self.at(i, j).conjugate()
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
+        out = tuple(e.conjugate() for j in range(self.cols) for e in self.col(j))
         return ComplexFuzzyMatrix(self.cols, self.rows, out)

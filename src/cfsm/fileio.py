@@ -26,6 +26,7 @@ half-up rounding of that shortest form, matching hand-rounded tables.
 
 from __future__ import annotations
 
+import cmath
 import json
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -101,7 +102,8 @@ def _parse_record(record: object, big_n: int, seen: set[str]) -> CandidateSignal
         row = []
         for k, value in enumerate(amplitudes):
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not ok or not 0.0 <= float(value) <= 1.0:
+            # compared before float(), which overflows on huge integers
+            if not ok or not 0 <= value <= 1:
                 raise ValidationError(
                     f"signal {label!r} sample {n} amplitude {k} "
                     f"must lie in [0, 1], got {value!r}"
@@ -191,18 +193,17 @@ def parse_complex_csv(text: str) -> ComplexFuzzyMatrix:
     return ComplexFuzzyMatrix.from_rows(_parse_grid(text, _complex_cell))
 
 
+def _format_grid(matrix, cell=fullprec) -> str:
+    rows = (",".join(map(cell, matrix.row(i))) for i in range(matrix.rows))
+    return "\n".join(rows) + "\n"
+
+
 def format_magnitude_csv(matrix: MagnitudeMatrix) -> str:
-    return (
-        "\n".join(",".join(fullprec(v) for v in row) for row in matrix.to_lists())
-        + "\n"
-    )
+    return _format_grid(matrix)
 
 
 def format_real_csv(matrix: RealMatrix) -> str:
-    return (
-        "\n".join(",".join(fullprec(v) for v in row) for row in matrix.to_lists())
-        + "\n"
-    )
+    return _format_grid(matrix)
 
 
 def format_complex_cell(value: ComplexFuzzyNumber) -> str:
@@ -210,12 +211,7 @@ def format_complex_cell(value: ComplexFuzzyNumber) -> str:
 
 
 def format_complex_csv(matrix: ComplexFuzzyMatrix) -> str:
-    lines = []
-    for i in range(matrix.rows):
-        lines.append(
-            ",".join(format_complex_cell(matrix.at(i, j)) for j in range(matrix.cols))
-        )
-    return "\n".join(lines) + "\n"
+    return _format_grid(matrix, format_complex_cell)
 
 
 # -- complex sequences (transform command) -----------------------------------
@@ -237,6 +233,10 @@ def parse_complex_sequence(text: str) -> list[complex]:
                 raise ValueError("expected 're' or 're,im'")
         except ValueError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
+        if not cmath.isfinite(values[-1]):
+            raise ValidationError(
+                f"line {lineno}: value must be finite, got {line.strip()!r}"
+            )
     if not values:
         raise ValidationError("sequence file is empty")
     return values

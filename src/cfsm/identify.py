@@ -10,8 +10,9 @@ Two procedures are provided:
   by sample: the cross product of two term lists pairs every term of one
   with every term of the other, taking the minimum amplitude and minimum
   phase, scaled by 1/(K*L). A sample's score is the largest term modulus,
-  which depends on amplitudes only; the candidate with the highest score
-  anywhere wins.
+  which depends on amplitudes only and has a closed form in the two peak
+  amplitudes (``cfsm.oracle.cross_product`` keeps the literal pairing); the
+  candidate with the highest score anywhere wins.
 
 Ties are broken by input order (first wins) and reported.
 """
@@ -21,53 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._grid import require_same_shape
 from .errors import ShapeError
 from .fourier import CandidateSignal, SignalSample
 from .softmatrix import MagnitudeMatrix, RealMatrix
 
 
-@dataclass(frozen=True)
-class CrossTerm:
-    """One pairing of a candidate term k with a reference term l."""
-
-    amplitude: float
-    phase: float
-    source: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CrossProduct:
-    terms: tuple[CrossTerm, ...]
-    scale: float
-
-
-def cross_product(s: SignalSample, t: SignalSample) -> CrossProduct:
-    """All K*L ordered pairings, each taking min amplitude and min phase."""
-    if not s.terms or not t.terms:
-        raise ValueError("cross product needs non-empty term lists")
-    terms = tuple(
-        CrossTerm(
-            min(a.amplitude, b.amplitude),
-            min(a.phase, b.phase),
-            (k, l),
-        )
-        for k, a in enumerate(s.terms)
-        for l, b in enumerate(t.terms)
-    )
-    return CrossProduct(terms, 1.0 / len(terms))
-
-
 def sample_score(s: SignalSample, t: SignalSample) -> float:
     """Largest cross-term modulus over K*L.
 
-    Since |r*e^(i*w)| = r, the score is computed from amplitudes alone;
-    phases cannot change it.
+    Since |r*e^(i*w)| = r, the score depends on amplitudes alone, and since
+    max over (k, l) of min(a_k, b_l) is min(max_k a_k, max_l b_l), it needs
+    only the two peak amplitudes: O(K+L) instead of O(K*L).
     """
     if not s.terms or not t.terms:
         raise ValueError("sample score needs non-empty term lists")
-    best = max(
-        min(a.amplitude, b.amplitude) for a in s.terms for b in t.terms
-    )
+    best = min(max(a.amplitude for a in s.terms), max(b.amplitude for b in t.terms))
     return best / (len(s.terms) * len(t.terms))
 
 
@@ -129,10 +99,7 @@ def fourier_identify(
 
 def column_min(matrix: RealMatrix) -> list[float]:
     """Minimum over the rows of each column."""
-    return [
-        min(matrix.at(i, j) for i in range(matrix.rows))
-        for j in range(matrix.cols)
-    ]
+    return [min(matrix.col(j)) for j in range(matrix.cols)]
 
 
 @dataclass(frozen=True)
@@ -160,14 +127,14 @@ def maxmin_decision(
     minima; the object whose column minimum is largest is the winner."""
     if a.rows != a.cols:
         raise ShapeError(f"decision inputs must be square, got {a.rows}x{a.cols}")
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"decision inputs must share one shape, got "
-            f"{a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )
+    require_same_shape(a, b, "max-min decision")
     labels = tuple(universe)
     if len(labels) != a.rows:
         raise ValueError(f"expected {a.rows} labels, got {len(labels)}")
+    if not all(labels):
+        raise ValueError("object labels must be non-empty")
+    if len(set(labels)) != len(labels):
+        raise ValueError("object labels must be unique")
     degrees = column_min(a.usual_product(b))
     best = max(degrees)
     winner = labels[degrees.index(best)]

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._grid import require_inner
 from .cfmatrix import ComplexFuzzyMatrix
-from .errors import ShapeError
 from .fourier import SignalSample
 from .softmatrix import MagnitudeMatrix
 
@@ -25,11 +25,7 @@ Grid = list[list[float]]
 def naive_maxmin(a: ComplexFuzzyMatrix, b: ComplexFuzzyMatrix) -> ComplexFuzzyMatrix:
     """Triple-loop max-min composition, amplitudes and phases tracked by
     hand instead of through the fuzzy_min/fuzzy_max helpers."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"max-min product needs inner dimensions to agree, got "
-            f"{a.rows}x{a.cols} and {b.rows}x{b.cols}"
-        )
+    require_inner(a, b, "max-min product")
     rows = []
     for i in range(a.rows):
         row = []
@@ -48,6 +44,43 @@ def naive_maxmin(a: ComplexFuzzyMatrix, b: ComplexFuzzyMatrix) -> ComplexFuzzyMa
             row.append((best_amp, best_phase))
         rows.append(row)
     return ComplexFuzzyMatrix.from_rows(rows)
+
+
+@dataclass(frozen=True)
+class CrossTerm:
+    """One pairing of a candidate term k with a reference term l."""
+
+    amplitude: float
+    phase: float
+    source: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class CrossProduct:
+    terms: tuple[CrossTerm, ...]
+    scale: float
+
+
+def cross_product(s: SignalSample, t: SignalSample) -> CrossProduct:
+    """All K*L ordered pairings, each taking min amplitude and min phase."""
+    if not s.terms or not t.terms:
+        raise ValueError("cross product needs non-empty term lists")
+    terms = tuple(
+        CrossTerm(
+            min(a.amplitude, b.amplitude),
+            min(a.phase, b.phase),
+            (k, l),
+        )
+        for k, a in enumerate(s.terms)
+        for l, b in enumerate(t.terms)
+    )
+    return CrossProduct(terms, 1.0 / len(terms))
+
+
+def naive_sample_score(s: SignalSample, t: SignalSample) -> float:
+    """Largest amplitude (the modulus) over all K*L cross terms, over K*L."""
+    terms = cross_product(s, t).terms
+    return max(term.amplitude for term in terms) / len(terms)
 
 
 @dataclass(frozen=True)

@@ -11,48 +11,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping
 
-from .errors import ShapeError
-
-
-def _check_entries(entries: Sequence[float], lo: float, hi: float | None) -> None:
-    for value in entries:
-        if not math.isfinite(value):
-            raise ValueError(f"matrix entries must be finite, got {value!r}")
-        if value < lo or (hi is not None and value > hi):
-            bound = f"[{lo:g}, {hi:g}]" if hi is not None else f"[{lo:g}, inf)"
-            raise ValueError(f"matrix entries must lie in {bound}, got {value!r}")
+from ._grid import _Grid, require_inner, require_same_shape
 
 
-@dataclass(frozen=True)
-class MagnitudeMatrix:
+def _degree(value: float) -> float:
+    value = float(value) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise ValueError(f"matrix entries must lie in [0, 1], got {value!r}")
+    return value
+
+
+def _nonnegative(value: float) -> float:
+    value = float(value) + 0.0
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"matrix entries must lie in [0, inf), got {value!r}")
+    return value
+
+
+class MagnitudeMatrix(_Grid):
     """Row-major grid of degrees in [0, 1]."""
 
-    rows: int
-    cols: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        entries = tuple(float(v) for v in self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
-        _check_entries(entries, 0.0, 1.0)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, cells: Iterable[Iterable[float]]) -> "MagnitudeMatrix":
-        grid = [[float(v) for v in row] for row in cells]
-        if not grid or not grid[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(grid[0])
-        if any(len(row) != width for row in grid):
-            raise ValueError("matrix rows must all have the same length")
-        return cls(len(grid), width, tuple(v for row in grid for v in row))
+    _cell = staticmethod(_degree)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "MagnitudeMatrix":
@@ -82,43 +64,20 @@ class MagnitudeMatrix:
         )
         return cls(rows, cols, entries)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def at(self, i: int, j: int) -> float:
-        return self.entries[i * self.cols + j]
-
-    def to_lists(self) -> list[list[float]]:
-        return [
-            [self.at(i, j) for j in range(self.cols)] for i in range(self.rows)
-        ]
-
-    def _require_same_shape(self, other: "MagnitudeMatrix", op: str) -> None:
-        if self.shape != other.shape:
-            raise ShapeError(
-                f"{op} needs equal shapes, got "
-                f"{self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-
     # -- set operations ----------------------------------------------------
 
     def union(self, other: "MagnitudeMatrix") -> "MagnitudeMatrix":
         """Entrywise maximum."""
-        self._require_same_shape(other, "union")
+        require_same_shape(self, other, "union")
         return MagnitudeMatrix(
-            self.rows,
-            self.cols,
-            tuple(max(x, y) for x, y in zip(self.entries, other.entries)),
+            self.rows, self.cols, tuple(map(max, self.entries, other.entries))
         )
 
     def intersection(self, other: "MagnitudeMatrix") -> "MagnitudeMatrix":
         """Entrywise minimum."""
-        self._require_same_shape(other, "intersection")
+        require_same_shape(self, other, "intersection")
         return MagnitudeMatrix(
-            self.rows,
-            self.cols,
-            tuple(min(x, y) for x, y in zip(self.entries, other.entries)),
+            self.rows, self.cols, tuple(map(min, self.entries, other.entries))
         )
 
     def complement(self) -> "MagnitudeMatrix":
@@ -131,19 +90,19 @@ class MagnitudeMatrix:
 
     def is_submatrix_of(self, other: "MagnitudeMatrix") -> bool:
         """Pointwise less-or-equal."""
-        self._require_same_shape(other, "submatrix comparison")
+        require_same_shape(self, other, "submatrix comparison")
         return all(x <= y for x, y in zip(self.entries, other.entries))
 
     def is_proper_submatrix_of(self, other: "MagnitudeMatrix") -> bool:
         """Pointwise less-or-equal with at least one strict inequality."""
-        self._require_same_shape(other, "submatrix comparison")
+        require_same_shape(self, other, "submatrix comparison")
         return self.is_submatrix_of(other) and any(
             x < y for x, y in zip(self.entries, other.entries)
         )
 
     def equals(self, other: "MagnitudeMatrix") -> bool:
         """Pointwise equality; raises on a shape mismatch, unlike ==."""
-        self._require_same_shape(other, "equality comparison")
+        require_same_shape(self, other, "equality comparison")
         return self.entries == other.entries
 
     # -- block products ----------------------------------------------------
@@ -151,21 +110,20 @@ class MagnitudeMatrix:
     # 1-based j, k, so each input column of A spans a block of n columns.
 
     def _block_product(self, other, combine, op):
-        self._require_same_shape(other, op)
-        n = self.cols
-        out = []
-        for i in range(self.rows):
-            for j in range(n):
-                a = self.at(i, j)
-                for k in range(n):
-                    out.append(combine(a, other.at(i, k)))
-        return MagnitudeMatrix(self.rows, n * n, tuple(out))
+        require_same_shape(self, other, op)
+        out = [
+            combine(a, b)
+            for i in range(self.rows)
+            for a in self.row(i)
+            for b in other.row(i)
+        ]
+        return MagnitudeMatrix(self.rows, self.cols * self.cols, tuple(out))
 
     def and_product(self, other: "MagnitudeMatrix") -> "MagnitudeMatrix":
-        return self._block_product(other, lambda a, b: min(a, b), "And product")
+        return self._block_product(other, min, "And product")
 
     def or_product(self, other: "MagnitudeMatrix") -> "MagnitudeMatrix":
-        return self._block_product(other, lambda a, b: max(a, b), "Or product")
+        return self._block_product(other, max, "Or product")
 
     def and_not_product(self, other: "MagnitudeMatrix") -> "MagnitudeMatrix":
         return self._block_product(other, lambda a, b: min(a, 1.0 - b), "AndNot product")
@@ -181,50 +139,18 @@ class MagnitudeMatrix:
         Entries are not clamped: a product of m x n and n x p degree
         matrices can reach n, which is why the result is a RealMatrix.
         """
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"usual product needs inner dimensions to agree, got "
-                f"{self.rows}x{self.cols} and {other.rows}x{other.cols}"
-            )
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                entries.append(
-                    sum(self.at(i, k) * other.at(k, j) for k in range(self.cols))
-                )
-        return RealMatrix(self.rows, other.cols, tuple(entries))
+        require_inner(self, other, "usual product")
+        cols = [other.col(j) for j in range(other.cols)]
+        entries = tuple(
+            sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in cols
+        )
+        return RealMatrix(self.rows, other.cols, entries)
 
 
-@dataclass(frozen=True)
-class RealMatrix:
+class RealMatrix(_Grid):
     """Row-major grid of non-negative reals with no upper bound."""
 
-    rows: int
-    cols: int
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        entries = tuple(float(v) for v in self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
-        _check_entries(entries, 0.0, None)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def at(self, i: int, j: int) -> float:
-        return self.entries[i * self.cols + j]
-
-    def to_lists(self) -> list[list[float]]:
-        return [
-            [self.at(i, j) for j in range(self.cols)] for i in range(self.rows)
-        ]
+    _cell = staticmethod(_nonnegative)
 
 
 @dataclass(frozen=True)

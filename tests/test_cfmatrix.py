@@ -54,6 +54,12 @@ def test_phase_is_normalized_modulo_two_pi():
     assert cf(0.5, -1e-20).phase == 0.0
 
 
+def test_negative_zero_is_stored_as_zero():
+    x = cf(-0.0, -0.0)
+    assert repr(x.amplitude) == "0.0" and repr(x.phase) == "0.0"
+    assert repr(cf(0.5, -TWO_PI).phase) == "0.0"
+
+
 def test_matrix_entry_count_must_match_dimensions():
     with pytest.raises(ValueError):
         ComplexFuzzyMatrix(2, 2, (cf(0.1), cf(0.2), cf(0.3)))

@@ -97,6 +97,27 @@ def test_identify_maxmin_degenerate_report(run, tmp_path):
     assert "winner: a (degenerate: all degrees zero)" in out
 
 
+@pytest.mark.parametrize("labels", ["v,v", ",x"])
+def test_identify_maxmin_rejects_duplicate_and_empty_labels(run, tmp_path, labels):
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0,0\n0,0\n")
+    code, out, err = run(
+        "identify", "maxmin", "--a", str(zero), "--b", str(zero), "--labels", labels
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("cfsm: error: object labels must be")
+
+
+def test_identify_fourier_huge_integer_amplitude_exits_2(run, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"N": 1, "signals": [{"id": "x", "samples": [{"amplitudes": [1'
+                    + "0" * 400 + "]}]}]}")
+    code, _, err = run("identify", "fourier", "--input", str(path))
+    assert code == 2
+    assert err.startswith("cfsm: error: signal 'x' sample 0 amplitude 0 must lie in")
+    assert len(err.splitlines()) == 1
+
+
 # -- matrix subcommand ------------------------------------------------------------
 
 
@@ -153,6 +174,19 @@ def test_matrix_and_product(run, tmp_path):
     assert out == "0.3,0.2,0.5,0.2\n"
 
 
+def test_matrix_negative_zero_prints_as_zero(run, tmp_path):
+    a = tmp_path / "a.csv"
+    a.write_text("-0.0,0.5\n")
+    code, out, _ = run("matrix", "inter", "--a", str(a), "--b", str(a))
+    assert code == 0
+    assert out == "0,0.5\n"
+    c = tmp_path / "c.csv"
+    c.write_text("-0.0@-0.0\n")
+    code, out, _ = run("matrix", "trace", "--a", str(c))
+    assert code == 0
+    assert out == "0@0\n"
+
+
 def test_matrix_shape_error_exit_code(run, tmp_path):
     small = tmp_path / "small.csv"
     small.write_text("0.1,0.2\n0.3,0.4\n")
@@ -192,6 +226,15 @@ def test_dft_inverse_round_trip(run, tmp_path):
     code, out, _ = run("dft", "--input", str(path), "--inverse")
     assert code == 0
     assert out == "1,0\n1,0\n1,0\n1,0\n"
+
+
+@pytest.mark.parametrize("line", ["nan", "inf", "1,-inf", "0,nan"])
+def test_dft_rejects_non_finite_values(run, tmp_path, line):
+    path = tmp_path / "seq.csv"
+    path.write_text(f"1,0\n{line}\n")
+    code, out, err = run("dft", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("cfsm: error: line 2: value must be finite")
 
 
 # -- law checks ------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import golden
@@ -15,13 +15,13 @@ from cfsm import (
     ShapeError,
     SignalSample,
     column_min,
-    cross_product,
     fourier_identify,
     maxmin_decision,
     sample_score,
     score_vector,
 )
 from cfsm.cfmatrix import TWO_PI, ComplexFuzzyNumber
+from cfsm.oracle import cross_product, naive_sample_score
 
 ABS_TOL = 1e-12
 
@@ -42,7 +42,7 @@ def _signals():
     return reference, x1, x2
 
 
-# -- cross product ---------------------------------------------------------------
+# -- cross product (the literal reference in cfsm.oracle) ------------------------
 
 
 def test_cross_product_worked_example():
@@ -122,6 +122,20 @@ def test_sample_score_ignores_phases_bit_for_bit(case):
     noisy_a = _sample(amps_a, phases=phases[:n])
     noisy_b = _sample(amps_b, phases=phases[n:])
     assert sample_score(noisy_a, noisy_b) == sample_score(flat_a, flat_b)
+
+
+signed_unit = st.one_of(unit, st.sampled_from([0.0, -0.0, 0.5]))
+
+
+@given(
+    st.lists(signed_unit, min_size=1, max_size=6),
+    st.lists(signed_unit, min_size=1, max_size=6),
+)
+@example([-0.0, 0.5, 0.5], [0.0, -0.0, -0.0])
+def test_closed_form_score_equals_the_literal_cross_product(amps_a, amps_b):
+    a, b = _sample(amps_a), _sample(amps_b)
+    # repr, not ==, so that 0.0 and -0.0 count as different results
+    assert repr(sample_score(a, b)) == repr(naive_sample_score(a, b))
 
 
 # -- score vectors and identification --------------------------------------------------

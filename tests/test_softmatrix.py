@@ -44,6 +44,11 @@ def test_entries_outside_unit_interval_rejected():
         MagnitudeMatrix.from_rows([[-0.1]])
 
 
+def test_negative_zero_entries_are_stored_as_zero():
+    assert repr(MagnitudeMatrix.from_rows([[-0.0, 0.5]]).at(0, 0)) == "0.0"
+    assert repr(RealMatrix(1, 1, (-0.0,)).at(0, 0)) == "0.0"
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         MagnitudeMatrix.from_rows([[0.1, 0.2], [0.3]])
