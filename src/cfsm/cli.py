@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse/validation error, 3 shape error, 64 usage
-error (unknown command or bad flags). Law checks exit 1 if any law fails.
+error (unknown command or bad flags, including a ``laws check`` size above
+MAX_SIDE or MAX_TRIALS). Law checks exit 1 if any law fails.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ _BINARY_OPS = {
     "add", "maxmin", "union", "inter", "and", "or", "andnot", "ornot", "usual",
 }
 _COMPLEX_OPS = {"add", "maxmin", "trace", "ctrans"}
+
+# largest accepted ``laws check --shape`` side and ``--trials``, checked
+# before anything is allocated
+MAX_SIDE = 256
+MAX_TRIALS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws = commands.add_parser("laws", help="algebraic law checks")
     law_modes = p_laws.add_subparsers(dest="mode", parser_class=_Parser)
     p_check = law_modes.add_parser("check", help="run the lattice law suite")
-    p_check.add_argument("--trials", type=int, default=200)
+    p_check.add_argument("--trials", type=_trials, default=200)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--shape", type=_shape, default=(4, 4), help="e.g. 4x4")
     p_check.set_defaults(handler=_cmd_laws_check)
@@ -89,10 +95,26 @@ def _shape(text: str) -> tuple[int, int]:
     try:
         shape = (int(rows), int(cols))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected MxN, got {text!r}") from None
-    if not sep or shape[0] < 1 or shape[1] < 1:
-        raise argparse.ArgumentTypeError(f"expected MxN with positive sizes, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected MxN, got {fileio.excerpt(text)!r}"
+        ) from None
+    if not sep or not (1 <= shape[0] <= MAX_SIDE and 1 <= shape[1] <= MAX_SIDE):
+        raise argparse.ArgumentTypeError(
+            f"expected MxN with sizes in 1..{MAX_SIDE}, got {fileio.excerpt(text)!r}"
+        )
     return shape
+
+
+def _trials(text: str) -> int:
+    try:
+        trials = int(text)
+    except ValueError:
+        trials = 0
+    if not 1 <= trials <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"expected a trial count in 1..{MAX_TRIALS}, got {fileio.excerpt(text)!r}"
+        )
+    return trials
 
 
 def _read(path: str) -> str:

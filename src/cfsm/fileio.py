@@ -49,6 +49,17 @@ def display(value: float, places: int = 2) -> str:
     return str(Decimal(fullprec(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """The first EXCERPT_CHARS characters of ``text``, for echoing input in
+    error messages; a cut is marked with '...'."""
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return text[:EXCERPT_CHARS] + "..."
+
+
 # -- signal files ------------------------------------------------------------
 
 
@@ -61,6 +72,8 @@ def parse_signal_file(
         raise ValidationError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("signal file must be a JSON object")
 
@@ -85,31 +98,30 @@ def _parse_record(record: object, big_n: int, seen: set[str]) -> CandidateSignal
     label = record.get("id")
     if not isinstance(label, str) or not label:
         raise ValidationError('every signal record needs a non-empty string "id"')
+    name = repr(excerpt(label))
     if label in seen:
-        raise ValidationError(f"duplicate signal id {label!r}")
+        raise ValidationError(f"duplicate signal id {name}")
     seen.add(label)
 
     samples = record.get("samples")
     if not isinstance(samples, list) or len(samples) != big_n:
-        raise ValidationError(f"signal {label!r}: expected {big_n} samples")
+        raise ValidationError(f"signal {name}: expected {big_n} samples")
     rows = []
     for n, sample in enumerate(samples):
         amplitudes = sample.get("amplitudes") if isinstance(sample, dict) else None
         if not isinstance(amplitudes, list) or len(amplitudes) != big_n:
             raise ValidationError(
-                f"signal {label!r} sample {n}: expected {big_n} amplitudes"
+                f"signal {name} sample {n}: expected {big_n} amplitudes"
             )
-        row = []
         for k, value in enumerate(amplitudes):
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            # compared before float(), which overflows on huge integers
+            # compared before the grid's float(), which overflows on huge integers
             if not ok or not 0 <= value <= 1:
                 raise ValidationError(
-                    f"signal {label!r} sample {n} amplitude {k} "
-                    f"must lie in [0, 1], got {value!r}"
+                    f"signal {name} sample {n} amplitude {k} "
+                    f"must lie in [0, 1], got {excerpt(repr(value))}"
                 )
-            row.append(float(value))
-        rows.append(row)
+        rows.append(amplitudes)
     return CandidateSignal.from_amplitudes(label, rows)
 
 
@@ -125,13 +137,8 @@ def serialize_signal_file(
             raise ValueError("all signals in a file must share one sample count")
 
     def record(signal: CandidateSignal) -> dict:
-        return {
-            "id": signal.label,
-            "samples": [
-                {"amplitudes": [term.amplitude for term in sample.terms]}
-                for sample in signal.samples
-            ],
-        }
+        rows = signal.amplitudes.to_lists()
+        return {"id": signal.label, "samples": [{"amplitudes": row} for row in rows]}
 
     doc: dict = {"N": big_n}
     if reference is not None:
@@ -168,11 +175,11 @@ def _magnitude_cell(cell: str, lineno: int, col: int) -> float:
         value = float(cell)
     except ValueError:
         raise ValidationError(
-            f"line {lineno} column {col}: not a decimal: {cell!r}"
+            f"line {lineno} column {col}: not a decimal: {excerpt(cell)!r}"
         ) from None
     if not 0.0 <= value <= 1.0:
         raise ValidationError(
-            f"line {lineno} column {col}: value {cell} outside [0, 1]"
+            f"line {lineno} column {col}: value {excerpt(cell)} outside [0, 1]"
         )
     return value
 
@@ -181,8 +188,11 @@ def _complex_cell(cell: str, lineno: int, col: int) -> ComplexFuzzyNumber:
     amplitude, _, phase = cell.partition("@")
     try:
         return ComplexFuzzyNumber(float(amplitude), float(phase) if phase else 0.0)
-    except ValueError as exc:
-        raise ValidationError(f"line {lineno} column {col}: {exc}") from None
+    except ValueError:
+        raise ValidationError(
+            f"line {lineno} column {col}: expected amplitude@phase with a finite "
+            f"phase and the amplitude in [0, 1], got {excerpt(cell)!r}"
+        ) from None
 
 
 def parse_magnitude_csv(text: str) -> MagnitudeMatrix:
@@ -223,20 +233,20 @@ def parse_complex_sequence(text: str) -> list[complex]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        parts = [part.strip() for part in line.split(",")]
+        parts = line.split(",")  # float() strips the spaces around each part
         try:
-            if len(parts) == 1:
-                values.append(complex(float(parts[0]), 0.0))
-            elif len(parts) == 2:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            else:
-                raise ValueError("expected 're' or 're,im'")
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-        if not cmath.isfinite(values[-1]):
+            if len(parts) > 2:
+                raise ValueError
+            value = complex(*map(float, parts))
+        except ValueError:
             raise ValidationError(
-                f"line {lineno}: value must be finite, got {line.strip()!r}"
+                f"line {lineno}: expected 're' or 're,im', got {excerpt(line.strip())!r}"
+            ) from None
+        if not cmath.isfinite(value):
+            raise ValidationError(
+                f"line {lineno}: value must be finite, got {excerpt(line.strip())!r}"
             )
+        values.append(value)
     if not values:
         raise ValidationError("sequence file is empty")
     return values

@@ -6,9 +6,9 @@ direct O(N^2) sums; no FFT is needed.
 
 A signal whose spectrum amplitudes are restricted to [0, 1] expands, at each
 sample index n, into a list of unit-disc terms (X[k], 2*pi*k*n/N mod 2*pi).
-Those term lists are what the identification scoring consumes. Amplitude
-lists are allowed to differ per sample index, so a candidate stores one term
-list per sample rather than a single spectrum.
+Amplitude lists are allowed to differ per sample index, so a candidate
+stores one amplitude row per sample; phases are never stored, and the term
+lists are built only when ``CandidateSignal.samples`` is read.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cfmatrix import TWO_PI, ComplexFuzzyNumber
+from .softmatrix import MagnitudeMatrix
 
 
 def dft(values: Sequence[complex]) -> list[complex]:
@@ -103,38 +104,30 @@ def expand_sample(
 
 @dataclass(frozen=True)
 class CandidateSignal:
-    """A labelled signal observed N times, one term list per sample."""
+    """A labelled signal observed N times: row n of the N x N ``amplitudes``
+    grid holds the spectrum amplitudes of sample n."""
 
     label: str
-    samples: tuple[SignalSample, ...]
+    amplitudes: MagnitudeMatrix
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        if not samples:
-            raise ValueError("a signal needs at least one sample")
-        n = len(samples)
-        for i, sample in enumerate(samples):
-            if len(sample.terms) != n:
-                raise ValueError(
-                    f"sample {i} has {len(sample.terms)} terms, expected {n}"
-                )
-            if sample.index != i:
-                raise ValueError(
-                    f"sample at position {i} carries index {sample.index}"
-                )
-        object.__setattr__(self, "samples", samples)
+        rows, cols = self.amplitudes.shape
+        if rows != cols:
+            raise ValueError(f"a signal needs N samples of N amplitudes, got {rows}x{cols}")
 
     @property
     def big_n(self) -> int:
-        return len(self.samples)
+        return self.amplitudes.rows
+
+    @property
+    def samples(self) -> tuple[SignalSample, ...]:
+        """The term lists of every sample, expanded on each access."""
+        n = self.big_n
+        return tuple(expand_sample(self.amplitudes.row(i), i, n) for i in range(n))
 
     @classmethod
     def from_amplitudes(
         cls, label: str, rows: Sequence[Sequence[float]]
     ) -> "CandidateSignal":
         """One amplitude list per sample index; phases are derived."""
-        big_n = len(rows)
-        return cls(
-            label,
-            tuple(expand_sample(row, n, big_n) for n, row in enumerate(rows)),
-        )
+        return cls(label, MagnitudeMatrix.from_rows(rows))

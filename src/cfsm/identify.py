@@ -28,17 +28,19 @@ from .fourier import CandidateSignal, SignalSample
 from .softmatrix import MagnitudeMatrix, RealMatrix
 
 
-def sample_score(s: SignalSample, t: SignalSample) -> float:
-    """Largest cross-term modulus over K*L.
+def _peak_score(s: Sequence[float], t: Sequence[float]) -> float:
+    """Largest cross-term modulus over K*L, from the two amplitude lists.
 
     Since |r*e^(i*w)| = r, the score depends on amplitudes alone, and since
     max over (k, l) of min(a_k, b_l) is min(max_k a_k, max_l b_l), it needs
     only the two peak amplitudes: O(K+L) instead of O(K*L).
     """
-    if not s.terms or not t.terms:
-        raise ValueError("sample score needs non-empty term lists")
-    best = min(max(a.amplitude for a in s.terms), max(b.amplitude for b in t.terms))
-    return best / (len(s.terms) * len(t.terms))
+    return min(max(s), max(t)) / (len(s) * len(t))
+
+
+def sample_score(s: SignalSample, t: SignalSample) -> float:
+    """``_peak_score`` of the two samples' term amplitudes."""
+    return _peak_score([a.amplitude for a in s.terms], [b.amplitude for b in t.terms])
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,10 @@ def score_vector(candidate: CandidateSignal, reference: CandidateSignal) -> Scor
             f"candidate {candidate.label!r} has {candidate.big_n} samples, "
             f"reference has {reference.big_n}"
         )
+    cand, ref = candidate.amplitudes, reference.amplitudes
     return ScoreVector(
         candidate.label,
-        tuple(
-            sample_score(c, r)
-            for c, r in zip(candidate.samples, reference.samples)
-        ),
+        tuple(_peak_score(cand.row(n), ref.row(n)) for n in range(cand.rows)),
     )
 
 

@@ -1,11 +1,16 @@
 """End-to-end CLI tests driven through run_cli."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cfsm.cli import run_cli
+from cfsm.cli import MAX_SIDE, MAX_TRIALS, run_cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +45,17 @@ def test_identify_fourier_is_byte_deterministic(run):
     first = run("identify", "fourier", "--input", str(DATA / "signals.json"))
     second = run("identify", "fourier", "--input", str(DATA / "signals.json"))
     assert first == second
+
+
+def test_identify_fourier_builds_no_term_objects(run, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr("cfsm.fourier.SignalSample.__post_init__", refuse)
+    monkeypatch.setattr("cfsm.cfmatrix.ComplexFuzzyNumber.__post_init__", refuse)
+    code, out, err = run("identify", "fourier", "--input", str(DATA / "signals.json"))
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "winner: x2"
 
 
 def test_identify_fourier_report_file(run, tmp_path):
@@ -115,6 +131,15 @@ def test_identify_fourier_huge_integer_amplitude_exits_2(run, tmp_path):
     code, _, err = run("identify", "fourier", "--input", str(path))
     assert code == 2
     assert err.startswith("cfsm: error: signal 'x' sample 0 amplitude 0 must lie in")
+    assert len(err.splitlines()) == 1
+
+
+def test_identify_fourier_deeply_nested_json_exits_2(run, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run("identify", "fourier", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("cfsm: error: invalid JSON")
     assert len(err.splitlines()) == 1
 
 
@@ -255,6 +280,25 @@ def test_laws_check_custom_shape(run):
     assert "trials=10" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--shape", "100000x100000"),
+        ("--shape", f"{MAX_SIDE + 1}x1"),
+        ("--shape", f"1x{MAX_SIDE + 1}"),
+        ("--trials", "10000000000"),
+        ("--trials", str(MAX_TRIALS + 1)),
+        ("--trials", "0"),
+    ],
+    ids=["huge-shape", "rows-above-max", "cols-above-max", "huge-trials",
+         "trials-above-max", "zero-trials"],
+)
+def test_laws_check_rejects_sizes_above_the_maximum(run, argv):
+    code, out, err = run("laws", "check", *argv)
+    assert code == 64 and out == ""
+    assert "error:" in err
+
+
 # -- plumbing -----------------------------------------------------------------------------
 
 
@@ -280,3 +324,75 @@ def test_help_exits_zero(run):
     code, out, _ = run("--help")
     assert code == 0
     assert "usage" in out.lower()
+
+
+# -- malformed input: short messages, documented exit codes ------------------------
+
+LONG = "x" * 200000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("matrix", "union", "--a", "{f}", "--b", "{f}"), "2" * 200000 + "\n"),
+        (("matrix", "trace", "--a", "{f}"), LONG + "\n"),
+        (("dft", "--input", "{f}"), LONG + "\n"),
+        (
+            ("identify", "fourier", "--input", "{f}"),
+            json.dumps({"N": 1, "signals": [{"id": LONG, "samples": []}]}),
+        ),
+    ],
+    ids=["magnitude-cell", "complex-cell", "sequence-line", "signal-id"],
+)
+def test_offending_input_is_echoed_as_a_short_excerpt(run, tmp_path, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(*(arg.format(f=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert len(err) < 200
+
+
+def _run_on(argv, text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "input"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli([arg.format(f=path) for arg in argv])
+    return code, err.getvalue()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["N", "signals", "reference", "id", "samples", "amplitudes"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+_cells = st.text(alphabet="0123456789.-+@,einfa x\n", max_size=40)
+
+FUZZ_KINDS = {
+    "signal": (
+        ("identify", "fourier", "--input", "{f}"),
+        st.text() | _json_values.map(json.dumps),
+    ),
+    "magnitude": (("matrix", "usual", "--a", "{f}", "--b", "{f}"), st.text() | _cells),
+    "complex": (("matrix", "maxmin", "--a", "{f}", "--b", "{f}"), st.text() | _cells),
+    "sequence": (("dft", "--input", "{f}"), st.text() | _cells),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_KINDS))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_arbitrary_input_ends_in_a_documented_exit_code(kind, data):
+    argv, texts = FUZZ_KINDS[kind]
+    code, err = _run_on(argv, data.draw(texts))
+    assert code in {0, 1, 2, 3, 64}
+    assert "Traceback" not in err

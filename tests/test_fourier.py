@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-from cfsm import CandidateSignal, SignalSample, dft, expand_sample, idft
+from cfsm import CandidateSignal, MagnitudeMatrix, SignalSample, dft, expand_sample, idft
 from cfsm.cfmatrix import TWO_PI, ComplexFuzzyNumber, wrap_phase
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -165,20 +165,16 @@ def test_signal_sample_invariants():
 
 
 def test_candidate_signal_invariants():
-    with pytest.raises(ValueError):
-        CandidateSignal("x", ())
-    with pytest.raises(ValueError):  # sample carries the wrong index
-        CandidateSignal(
-            "x",
-            (
-                SignalSample(0, (ComplexFuzzyNumber(0.1), ComplexFuzzyNumber(0.2))),
-                SignalSample(0, (ComplexFuzzyNumber(0.3), ComplexFuzzyNumber(0.4))),
-            ),
-        )
+    with pytest.raises(ValueError):  # no samples
+        CandidateSignal.from_amplitudes("x", [])
     with pytest.raises(ValueError):  # term count differs from sample count
-        CandidateSignal(
-            "x", (SignalSample(0, (ComplexFuzzyNumber(0.1), ComplexFuzzyNumber(0.2))),)
-        )
+        CandidateSignal.from_amplitudes("x", [[0.1, 0.2]])
+    with pytest.raises(ValueError):  # non-square grid through the constructor
+        CandidateSignal("x", MagnitudeMatrix.from_rows([[0.1, 0.2]]))
+    with pytest.raises(ValueError):  # ragged rows
+        CandidateSignal.from_amplitudes("x", [[0.1, 0.2], [0.3]])
+    with pytest.raises(ValueError):  # amplitude outside [0, 1]
+        CandidateSignal.from_amplitudes("x", [[0.1, 1.5], [0.2, 0.3]])
 
 
 def test_candidate_signal_from_amplitudes():

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -205,6 +205,26 @@ def test_winner_does_not_depend_on_candidate_order(data):
     backward = fourier_identify(list(reversed(candidates)), reference)
     if len(forward.tied) == 1:
         assert backward.winner == forward.winner
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0.0, 1.0]) | unit, min_size=n, max_size=n),
+            min_size=2 * n,
+            max_size=2 * n,
+        )
+    )
+)
+def test_score_vector_equals_the_literal_score_of_the_derived_samples(rows):
+    half = len(rows) // 2
+    candidate = CandidateSignal.from_amplitudes("c", rows[:half])
+    reference = CandidateSignal.from_amplitudes("r", rows[half:])
+    literal = tuple(
+        naive_sample_score(c, r) for c, r in zip(candidate.samples, reference.samples)
+    )
+    assert repr(score_vector(candidate, reference).scores) == repr(literal)
 
 
 # -- max-min decision -------------------------------------------------------------------
