@@ -74,6 +74,8 @@ def parse_signal_file(
         ) from exc
     except RecursionError:
         raise ValidationError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise ValidationError("invalid JSON: integer has too many digits") from None
     if not isinstance(doc, dict):
         raise ValidationError("signal file must be a JSON object")
 
@@ -253,8 +255,10 @@ def parse_complex_sequence(text: str) -> list[complex]:
 
 
 def format_complex_sequence(values: Sequence[complex]) -> str:
+    # + 0.0 turns -0.0 into 0.0, so zero always prints as 0
     return (
-        "\n".join(f"{fullprec(v.real)},{fullprec(v.imag)}" for v in values) + "\n"
+        "\n".join(f"{fullprec(v.real + 0.0)},{fullprec(v.imag + 0.0)}" for v in values)
+        + "\n"
     )
 
 

@@ -1,8 +1,11 @@
 """Discrete Fourier transforms and amplitude-restricted sample expansion.
 
 The transform pair uses the e^(-i*2*pi*k*n/N) forward kernel with the 1/N
-factor on the inverse. Sizes are small here, so both directions are the
-direct O(N^2) sums; no FFT is needed.
+factor on the inverse. Both directions run one mixed-radix Cooley-Tukey
+recursion over a table of the N roots of unity: a length with smallest
+prime factor p splits into p interleaved sub-transforms of length N/p, so
+the cost is O(N * sum of the prime factors of N) and a prime length is the
+direct sum over the table.
 
 A signal whose spectrum amplitudes are restricted to [0, 1] expands, at each
 sample index n, into a list of unit-disc terms (X[k], 2*pi*k*n/N mod 2*pi).
@@ -16,10 +19,53 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Sequence
 
 from .cfmatrix import TWO_PI, ComplexFuzzyNumber
 from .softmatrix import MagnitudeMatrix
+
+
+_QUARTER_TURNS = (1, 1j, -1, -1j)
+
+
+def _roots(n: int, sign: int) -> list[complex]:
+    """e^(sign*i*2*pi*j/n) for j in range(n), one exponential each.
+
+    Each angle is split into the nearest quarter turn, applied exactly, and
+    a remainder of at most pi/4, so the table is exact wherever 4j/n is whole.
+    """
+    table = []
+    for j in range(n):
+        quarters = (8 * j + n) // (2 * n)
+        rest = 4 * j - quarters * n
+        turn = cmath.exp(complex(0.0, sign * math.pi / 2 * rest / n))
+        table.append(_QUARTER_TURNS[sign * quarters % 4] * turn)
+    return table
+
+
+def _smallest_factor(n: int) -> int:
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
+
+def _transform(xs: list[complex], roots: list[complex]) -> list[complex]:
+    """out[k] = sum_t xs[t] * roots[k*t mod n], for the n-entry root table.
+
+    With p the smallest prime factor of n and m = n/p, sub-transform r runs
+    on xs[r::p] over roots[::p], and out[k] = sum_r sub_r[k mod m] *
+    roots[r*k mod n]; repeating a sub-transform p times gives its k mod m.
+    The terms are added one r at a time, so a prime n needs O(n) memory.
+    """
+    n = len(xs)
+    if n == 1:
+        return xs
+    p = _smallest_factor(n)
+    step = roots[::p]
+    out = _transform(xs[::p], step) * p
+    for r in range(1, p):
+        turns = [roots[r * k % n] for k in range(n)]
+        out = list(map(add, out, map(mul, _transform(xs[r::p], step) * p, turns)))
+    return out
 
 
 def dft(values: Sequence[complex]) -> list[complex]:
@@ -27,11 +73,7 @@ def dft(values: Sequence[complex]) -> list[complex]:
     xs = [complex(v) for v in values]
     if not xs:
         raise ValueError("dft needs a non-empty sequence")
-    n = len(xs)
-    return [
-        sum(xs[t] * cmath.exp(-2j * math.pi * k * t / n) for t in range(n))
-        for k in range(n)
-    ]
+    return _transform(xs, _roots(len(xs), -1))
 
 
 def idft(values: Sequence[complex]) -> list[complex]:
@@ -40,10 +82,7 @@ def idft(values: Sequence[complex]) -> list[complex]:
     if not xs:
         raise ValueError("idft needs a non-empty sequence")
     n = len(xs)
-    return [
-        sum(xs[k] * cmath.exp(2j * math.pi * k * t / n) for k in range(n)) / n
-        for t in range(n)
-    ]
+    return [value / n for value in _transform(xs, _roots(n, 1))]
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ._grid import require_inner
 from .cfmatrix import ComplexFuzzyMatrix
@@ -44,6 +45,31 @@ def naive_maxmin(a: ComplexFuzzyMatrix, b: ComplexFuzzyMatrix) -> ComplexFuzzyMa
             row.append((best_amp, best_phase))
         rows.append(row)
     return ComplexFuzzyMatrix.from_rows(rows)
+
+
+def naive_dft(values: Sequence[complex]) -> list[complex]:
+    """The literal O(N^2) sum X[k] = sum_n x[n] * e^(-i*2*pi*k*n/N), one
+    exponential per term, against which the factorised kernel is checked."""
+    xs = [complex(v) for v in values]
+    if not xs:
+        raise ValueError("dft needs a non-empty sequence")
+    n = len(xs)
+    return [
+        sum(xs[t] * cmath.exp(-2j * math.pi * k * t / n) for t in range(n))
+        for k in range(n)
+    ]
+
+
+def naive_idft(values: Sequence[complex]) -> list[complex]:
+    """The literal O(N^2) sum x[n] = (1/N) * sum_k X[k] * e^(i*2*pi*k*n/N)."""
+    xs = [complex(v) for v in values]
+    if not xs:
+        raise ValueError("idft needs a non-empty sequence")
+    n = len(xs)
+    return [
+        sum(xs[k] * cmath.exp(2j * math.pi * k * t / n) for k in range(n)) / n
+        for t in range(n)
+    ]
 
 
 @dataclass(frozen=True)

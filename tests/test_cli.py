@@ -143,6 +143,14 @@ def test_identify_fourier_deeply_nested_json_exits_2(run, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_identify_fourier_over_long_integer_exits_2(run, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"N": ' + "1" * 5001 + ', "signals": []}')
+    code, out, err = run("identify", "fourier", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "cfsm: error: invalid JSON: integer has too many digits\n"
+
+
 # -- matrix subcommand ------------------------------------------------------------
 
 
@@ -251,6 +259,23 @@ def test_dft_inverse_round_trip(run, tmp_path):
     code, out, _ = run("dft", "--input", str(path), "--inverse")
     assert code == 0
     assert out == "1,0\n1,0\n1,0\n1,0\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, want",
+    [
+        # halving the smallest subnormal rounds to -0.0
+        ("-5e-324\n0\n", ("--inverse",), "0,0\n0,0\n"),
+        # a single value is its own transform and reaches the output untouched
+        ("-0.0\n", (), "0,0\n"),
+    ],
+)
+def test_dft_prints_zero_without_a_sign(run, tmp_path, text, flags, want):
+    path = tmp_path / "seq.csv"
+    path.write_text(text)
+    code, out, _ = run("dft", "--input", str(path), *flags)
+    assert code == 0
+    assert out == want
 
 
 @pytest.mark.parametrize("line", ["nan", "inf", "1,-inf", "0,nan"])

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import golden
 from cfsm import CandidateSignal, MagnitudeMatrix, SignalSample, dft, expand_sample, idft
 from cfsm.cfmatrix import TWO_PI, ComplexFuzzyNumber, wrap_phase
+from cfsm.oracle import naive_dft, naive_idft
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -84,6 +86,49 @@ def test_energy_matches_across_domains(size, data):
     time_energy = sum(abs(x) ** 2 for x in xs)
     freq_energy = sum(abs(v) ** 2 for v in spectrum) / size
     assert abs(time_energy - freq_energy) <= 1e-9
+
+
+# primes, prime powers and mixed composites all take the same recursion
+ORACLE_SIZES = list(range(1, 49)) + [97, 128, 210, 256]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_SIZES).flatmap(sequences))
+def test_transform_pair_matches_the_literal_sums(xs):
+    for fast, slow in ((dft, naive_dft), (idft, naive_idft)):
+        for got, want in zip(fast(xs), slow(xs), strict=True):
+            assert abs(got - want) <= 1e-9
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 12, 97, 256])
+def test_transform_pair_evaluates_one_exponential_per_root(size, monkeypatch):
+    calls = []
+    exp = cmath.exp
+
+    def counting(z):
+        calls.append(z)
+        return exp(z)
+
+    monkeypatch.setattr("cfsm.fourier.cmath.exp", counting)
+    xs = [complex(t % 5, -t % 3) for t in range(size)]
+    dft(xs)
+    assert len(calls) <= size
+    calls.clear()
+    idft(xs)
+    assert len(calls) <= size
+
+
+def test_prime_length_transform_keeps_memory_linear():
+    # a prime length is one p = n split; its n twiddled terms must not all
+    # be held at once, which would take n*n list slots (about 2 MiB here)
+    xs = [complex(t % 7, t % 3) for t in range(509)]
+    tracemalloc.start()
+    try:
+        dft(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # -- sample expansion -----------------------------------------------------------
