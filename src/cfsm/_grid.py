@@ -23,28 +23,49 @@ def require_inner(a: "_Grid", b: "_Grid", op: str) -> None:
         )
 
 
+def _check_shape(rows: int, cols: int, count: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+    if count != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {count}")
+
+
 @dataclass(frozen=True)
 class _Grid:
-    """A rows x cols grid stored row-major; subclasses check each cell in
-    ``_cell``, which returns the value to store."""
+    """A rows x cols grid stored row-major.
+
+    The public constructor checks each cell through ``_cell``, which
+    returns the value to store. ``_trusted`` builds a grid from row-major
+    tuples whose cells are already checked, such as parsed cells or the
+    result of an operation on checked grids, and checks only the shape.
+    """
 
     rows: int
     cols: int
     entries: tuple
 
+    _arrays = ("entries",)  # the attributes that hold the cells, row-major
+
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
         entries = tuple(self.entries)
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
-            )
+        _check_shape(self.rows, self.cols, len(entries))
         object.__setattr__(self, "entries", tuple(map(self._cell, entries)))
 
     @staticmethod
     def _cell(value):
         return value
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, *arrays: tuple):
+        """A grid over checked row-major tuples, one per name in
+        ``_arrays``, taken as they are."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "rows", rows)
+        object.__setattr__(grid, "cols", cols)
+        for name, values in zip(cls._arrays, arrays, strict=True):
+            _check_shape(rows, cols, len(values))
+            object.__setattr__(grid, name, values)
+        return grid
 
     @classmethod
     def from_rows(cls, cells: Iterable[Iterable]):
@@ -71,4 +92,3 @@ class _Grid:
 
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
-

@@ -32,7 +32,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cfmatrix import ComplexFuzzyMatrix, ComplexFuzzyNumber
+from .cfmatrix import ComplexFuzzyMatrix, ComplexFuzzyNumber, checked_polar
 from .errors import ValidationError
 from .fourier import CandidateSignal
 from .identify import ScoreVector
@@ -186,10 +186,10 @@ def _magnitude_cell(cell: str, lineno: int, col: int) -> float:
     return value
 
 
-def _complex_cell(cell: str, lineno: int, col: int) -> ComplexFuzzyNumber:
+def _complex_cell(cell: str, lineno: int, col: int) -> tuple[float, float]:
     amplitude, _, phase = cell.partition("@")
     try:
-        return ComplexFuzzyNumber(float(amplitude), float(phase) if phase else 0.0)
+        return checked_polar(float(amplitude), float(phase) if phase else 0.0)
     except ValueError:
         raise ValidationError(
             f"line {lineno} column {col}: expected amplitude@phase with a finite "
@@ -202,11 +202,15 @@ def parse_magnitude_csv(text: str) -> MagnitudeMatrix:
 
 
 def parse_complex_csv(text: str) -> ComplexFuzzyMatrix:
-    return ComplexFuzzyMatrix.from_rows(_parse_grid(text, _complex_cell))
+    """The cells are checked as they are parsed, straight into the two real
+    grids of the matrix."""
+    rows = _parse_grid(text, _complex_cell)
+    amps, phases = zip(*(cell for row in rows for cell in row))
+    return ComplexFuzzyMatrix._trusted(len(rows), len(rows[0]), amps, phases)
 
 
-def _format_grid(matrix, cell=fullprec) -> str:
-    rows = (",".join(map(cell, matrix.row(i))) for i in range(matrix.rows))
+def _format_grid(matrix) -> str:
+    rows = (",".join(map(fullprec, matrix.row(i))) for i in range(matrix.rows))
     return "\n".join(rows) + "\n"
 
 
@@ -218,12 +222,17 @@ def format_real_csv(matrix: RealMatrix) -> str:
     return _format_grid(matrix)
 
 
+def _polar_text(amplitude: float, phase: float) -> str:
+    return f"{fullprec(amplitude)}@{fullprec(phase)}"
+
+
 def format_complex_cell(value: ComplexFuzzyNumber) -> str:
-    return f"{fullprec(value.amplitude)}@{fullprec(value.phase)}"
+    return _polar_text(value.amplitude, value.phase)
 
 
 def format_complex_csv(matrix: ComplexFuzzyMatrix) -> str:
-    return _format_grid(matrix, format_complex_cell)
+    rows = zip(matrix.amplitudes(), matrix.phases())
+    return "\n".join(",".join(map(_polar_text, *row)) for row in rows) + "\n"
 
 
 # -- complex sequences (transform command) -----------------------------------

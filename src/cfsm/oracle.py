@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ._grid import require_inner
-from .cfmatrix import ComplexFuzzyMatrix
+from ._grid import require_inner, require_same_shape
+from .cfmatrix import ComplexFuzzyMatrix, ComplexFuzzyNumber
+from .errors import ShapeError
 from .fourier import SignalSample
 from .softmatrix import MagnitudeMatrix
 
@@ -43,6 +44,50 @@ def naive_maxmin(a: ComplexFuzzyMatrix, b: ComplexFuzzyMatrix) -> ComplexFuzzyMa
                 if phase > best_phase:
                     best_phase = phase
             row.append((best_amp, best_phase))
+        rows.append(row)
+    return ComplexFuzzyMatrix.from_rows(rows)
+
+
+def naive_fuzzy_add(a: ComplexFuzzyMatrix, b: ComplexFuzzyMatrix) -> ComplexFuzzyMatrix:
+    """Cell by cell: the larger amplitude paired with the larger phase."""
+    require_same_shape(a, b, "fuzzy addition")
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(a.cols):
+            left = a.at(i, j)
+            right = b.at(i, j)
+            amp = left.amplitude if left.amplitude > right.amplitude else right.amplitude
+            phase = left.phase if left.phase > right.phase else right.phase
+            row.append((amp, phase))
+        rows.append(row)
+    return ComplexFuzzyMatrix.from_rows(rows)
+
+
+def naive_trace(m: ComplexFuzzyMatrix) -> ComplexFuzzyNumber:
+    """The largest diagonal amplitude paired with the largest diagonal phase."""
+    if m.rows != m.cols:
+        raise ShapeError(f"trace needs a square matrix, got {m.rows}x{m.cols}")
+    best_amp = -1.0
+    best_phase = -1.0
+    for i in range(m.rows):
+        cell = m.at(i, i)
+        if cell.amplitude > best_amp:
+            best_amp = cell.amplitude
+        if cell.phase > best_phase:
+            best_phase = cell.phase
+    return ComplexFuzzyNumber(best_amp, best_phase)
+
+
+def naive_conjugate_transpose(m: ComplexFuzzyMatrix) -> ComplexFuzzyMatrix:
+    """Entry (j, i) is m[i, j] with its phase negated; the constructor takes
+    the negated phase modulo 2*pi, as for any stored value."""
+    rows = []
+    for j in range(m.cols):
+        row = []
+        for i in range(m.rows):
+            cell = m.at(i, j)
+            row.append((cell.amplitude, -cell.phase))
         rows.append(row)
     return ComplexFuzzyMatrix.from_rows(rows)
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import golden
@@ -15,7 +15,12 @@ from cfsm import (
     fuzzy_min,
 )
 from cfsm.cfmatrix import TWO_PI
-from cfsm.oracle import naive_maxmin
+from cfsm.oracle import (
+    naive_conjugate_transpose,
+    naive_fuzzy_add,
+    naive_maxmin,
+    naive_trace,
+)
 
 ABS_TOL = 1e-12
 
@@ -266,3 +271,72 @@ def test_matrix_results_stay_on_the_disc(a, b):
         for entry in out.entries:
             assert 0.0 <= entry.amplitude <= 1.0
             assert 0.0 <= entry.phase < TWO_PI
+
+
+# -- kernels against their literal definitions, compared by repr -------------------
+# repr tells -0.0 from 0.0, which == does not.
+
+M = ComplexFuzzyMatrix.from_rows
+sides = st.sampled_from([1, 1, 2, 3, 5, 8])
+amplitude_pools = st.just((0.0, 1.0)) | st.lists(amplitudes, min_size=1, max_size=3)
+phase_pools = st.just((0.0, 1.0)) | st.lists(phases, min_size=1, max_size=3)
+
+
+@st.composite
+def tied_matrices(draw, rows, cols, amps, phs):
+    cell = st.tuples(st.sampled_from(amps), st.sampled_from(phs))
+    row = st.lists(cell, min_size=cols, max_size=cols)
+    return M(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@st.composite
+def composable(draw):
+    """Two composable matrices whose cells take at most three values per
+    component, or only 0.0 and 1.0, so equal-value events are frequent."""
+    rows, inner, cols = draw(sides), draw(sides), draw(sides)
+    amps, phs = draw(amplitude_pools), draw(phase_pools)
+    return (
+        draw(tied_matrices(rows, inner, amps, phs)),
+        draw(tied_matrices(inner, cols, amps, phs)),
+    )
+
+
+@given(composable())
+@example((M([[(0.5, 1.0)]]), M([[(1.0, 0.0)]])))
+@example((M([[0.0, 1.0, 1.0]]), M([[1.0], [0.0], [1.0]])))
+@example((M([[(1.0, 1.0)], [(0.0, 0.0)]]), M([[(1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]])))
+def test_maxmin_matches_the_literal_definition_under_ties(pair):
+    a, b = pair
+    assert repr(a.maxmin(b)) == repr(naive_maxmin(a, b))
+
+
+@given(st.data())
+def test_maxmin_matches_the_literal_definition_on_any_shape(data):
+    a = data.draw(matrices(max_dim=8))
+    b = data.draw(matrices(rows=a.cols, max_dim=8))
+    assert repr(a.maxmin(b)) == repr(naive_maxmin(a, b))
+
+
+@given(st.data())
+def test_fuzzy_add_matches_the_literal_definition(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.rows, cols=a.cols))
+    assert repr(a.fuzzy_add(b)) == repr(naive_fuzzy_add(a, b))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_trace_matches_the_literal_definition(m):
+    assert repr(m.trace()) == repr(naive_trace(m))
+
+
+@given(matrices())
+@example(M([[(0.5, 1e-17), (1.0, 0.0)], [(0.0, 5e-324), (0.25, TWO_PI - 1.0)]]))
+def test_conjugate_transpose_matches_the_literal_definition(m):
+    assert repr(m.conjugate_transpose()) == repr(naive_conjugate_transpose(m))
+
+
+def test_entries_are_built_once_and_at_is_an_index():
+    m = M([[(0.5, 1.0), 0.25]])
+    assert m.entries is m.entries
+    assert m.at(0, 1) is m.entries[1] is m.row(0)[1]
+    assert m.at(0, 0) == ComplexFuzzyNumber(0.5, 1.0)

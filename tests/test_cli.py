@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfsm.cfmatrix import ComplexFuzzyMatrix, ComplexFuzzyNumber
 from cfsm.cli import MAX_SIDE, MAX_TRIALS, run_cli
+from cfsm.oracle import naive_maxmin
 
 DATA = Path(__file__).parent / "data"
 
@@ -421,3 +423,145 @@ def test_arbitrary_input_ends_in_a_documented_exit_code(kind, data):
     code, err = _run_on(argv, data.draw(texts))
     assert code in {0, 1, 2, 3, 64}
     assert "Traceback" not in err
+
+
+# -- complex and block matrix ops: full output, recorded before the two-grid
+# storage and the threshold-sweep max-min ------------------------------------
+
+CF_PAIR = ("--a", str(DATA / "cf_a.csv"), "--b", str(DATA / "cf_b.csv"))
+MAG4_PAIR = ("--a", str(DATA / "mag4_a.csv"), "--b", str(DATA / "mag4_b.csv"))
+
+FULL_OUTPUTS = {
+    ("maxmin", *CF_PAIR): (
+        "0.4@0.523598775598,0.4@1.57079632679,0.5@1.57079632679\n"
+        "0.3@0.785398163397,0.1@0.785398163397,0.3@3.14159265359\n"
+        "0.2@0,0.2@0.785398163397,0.5@1.0471975512\n"
+    ),
+    ("add", *CF_PAIR): (
+        "0.6@1.57079632679,0.4@3.14159265359,0.5@0\n"
+        "0.8@0,0.4@3.14159265359,0.7@3.14159265359\n"
+        "1@0.785398163397,0.2@1.0471975512,1@3.14159265359\n"
+    ),
+    ("trace", "--a", str(DATA / "cf_a.csv")): "0.6@3.14159265359\n",
+    ("ctrans", "--a", str(DATA / "cf_a.csv")): (
+        "0.6@4.71238898038,0@0,1@0\n"
+        "0.4@4.71238898038,0.1@3.14159265359,0.2@5.23598775598\n"
+        "0.1@0,0.3@5.49778714378,0@0\n"
+    ),
+    ("or", *MAG4_PAIR): (
+        "0.2,0.4,0.1,0.1,0.4,0.4,0.4,0.4,0.2,0.4,0,0.1,0.2,0.4,0.2,0.2\n"
+        "0.3,0.7,0.2,0.2,0.6,0.7,0.6,0.6,0.3,0.7,0,0.2,0.3,0.7,0.3,0.3\n"
+        "0.8,0.8,0.7,0.7,0.8,0.8,0.2,0.4,0.8,0.8,0,0.4,0.8,0.8,0.5,0.5\n"
+        "0.5,0.4,0.4,0.7,0.5,0.3,0.3,0.7,0.5,0.3,0,0.7,0.9,0.9,0.9,0.9\n"
+    ),
+    ("andnot", *MAG4_PAIR): (
+        "0.1,0.1,0.1,0.1,0.4,0.4,0.4,0.4,0,0,0,0,0.2,0.2,0.2,0.2\n"
+        "0.2,0.2,0.2,0.2,0.6,0.3,0.6,0.6,0,0,0,0,0.3,0.3,0.3,0.3\n"
+        "0.2,0.2,0.7,0.6,0.2,0.2,0.2,0.2,0,0,0,0,0.2,0.2,0.5,0.5\n"
+        "0.4,0.4,0.4,0.3,0.3,0.3,0.3,0.3,0,0,0,0,0.5,0.7,0.9,0.3\n"
+    ),
+    ("ornot", *MAG4_PAIR): (
+        "0.8,0.6,1,0.9,0.8,0.6,1,0.9,0.8,0.6,1,0.9,0.8,0.6,1,0.9\n"
+        "0.7,0.3,1,0.8,0.7,0.6,1,0.8,0.7,0.3,1,0.8,0.7,0.3,1,0.8\n"
+        "0.7,0.7,1,0.7,0.2,0.2,1,0.6,0.2,0.2,1,0.6,0.5,0.5,1,0.6\n"
+        "0.5,0.7,1,0.4,0.5,0.7,1,0.3,0.5,0.7,1,0.3,0.9,0.9,1,0.9\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(FULL_OUTPUTS), ids=lambda argv: argv[0])
+def test_matrix_full_output(run, argv):
+    assert run("matrix", *argv) == (0, FULL_OUTPUTS[argv], "")
+
+
+def _count_cell_objects(monkeypatch):
+    """Record every ComplexFuzzyNumber built, checked or trusted."""
+    built = []
+    check = ComplexFuzzyNumber.__post_init__
+    trusted = ComplexFuzzyNumber._trusted
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    def counting_trusted(cls, amplitude, phase):
+        built.append(trusted(amplitude, phase))
+        return built[-1]
+
+    monkeypatch.setattr(ComplexFuzzyNumber, "__post_init__", counting_check)
+    monkeypatch.setattr(ComplexFuzzyNumber, "_trusted", classmethod(counting_trusted))
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, objects",
+    [
+        (("maxmin", *CF_PAIR), 0),
+        (("add", *CF_PAIR), 0),
+        (("ctrans", "--a", str(DATA / "cf_a.csv")), 0),
+        # trace returns its one value as a ComplexFuzzyNumber
+        (("trace", "--a", str(DATA / "cf_a.csv")), 1),
+    ],
+    ids=lambda case: case[0] if isinstance(case, tuple) else None,
+)
+def test_complex_matrix_ops_build_no_cell_objects(run, monkeypatch, argv, objects):
+    built = _count_cell_objects(monkeypatch)
+    assert run("matrix", *argv) == (0, FULL_OUTPUTS[argv], "")
+    assert len(built) == objects
+
+
+def test_literal_maxmin_builds_each_matrix_cell_once(monkeypatch):
+    n = 6
+    built = _count_cell_objects(monkeypatch)
+    cells = [[((i * n + j) % 7 / 7, (i + 2 * j) % 5) for j in range(n)] for i in range(n)]
+    a = ComplexFuzzyMatrix.from_rows(cells)
+    b = ComplexFuzzyMatrix.from_rows(cells[::-1])
+    out = naive_maxmin(a, b)
+    # the literal loop reads 2 * n**3 cells through at(), which indexes the
+    # entries tuple each matrix builds once
+    assert out.at(n - 1, n - 1) is out.at(n - 1, n - 1)
+    assert len(built) <= 3 * n * n
+
+
+# -- complex cells: boundaries of the parser and of conjugation ------------------
+
+
+@pytest.mark.parametrize(
+    "text, op, want",
+    [
+        ("0,1\n", "ctrans", "0@0\n1@0\n"),
+        ("1@0,0@1\n", "ctrans", "1@0\n0@5.28318530718\n"),
+        ("-0.0@-0.0\n", "ctrans", "0@0\n"),
+        ("-0.0@-0.0\n", "trace", "0@0\n"),
+        ("0.5@6.283185307179586,0.5@-1\n", "ctrans", "0.5@0\n0.5@1\n"),
+        ("0.5@6.283185307179586\n", "trace", "0.5@0\n"),
+        ("0.5@-1\n", "trace", "0.5@5.28318530718\n"),
+        ("0.5@\n", "trace", "0.5@0\n"),
+        (" 0.5 @ 1 \n", "trace", "0.5@1\n"),
+        ("1e-400@-1e-400\n", "trace", "0@0\n"),
+        # 2*pi - 1e-17 rounds to 2*pi, which must wrap to 0
+        (
+            "0.5@1e-17,1@6.283185307179586\n0@-0.0,0.25@-1\n",
+            "ctrans",
+            "0.5@0,0@0\n1@0,0.25@1\n",
+        ),
+    ],
+)
+def test_complex_cell_boundaries(run, tmp_path, text, op, want):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert run("matrix", op, "--a", str(path)) == (0, want, "")
+
+
+@pytest.mark.parametrize(
+    "cell", ["nan", "inf", "1.5", "-1", "0.5@nan", "0.5@inf", "0.5@1@2", "@1"]
+)
+def test_complex_cell_rejections(run, tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"0.5,{cell}\n")
+    assert run("matrix", "ctrans", "--a", str(path)) == (
+        2,
+        "",
+        "cfsm: error: line 1 column 2: expected amplitude@phase with a finite "
+        f"phase and the amplitude in [0, 1], got {cell!r}\n",
+    )
